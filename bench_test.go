@@ -1,8 +1,8 @@
 // Benchmarks regenerating every table and figure of the paper's
-// evaluation (one Benchmark per experiment id in DESIGN.md), plus
+// evaluation (one Benchmark per cmd/ddpbench experiment id), plus
 // real-execution micro-benchmarks of the collective stack and the DDP
-// reducer, and ablation benches for the design choices DESIGN.md calls
-// out. Key quantities are attached via b.ReportMetric; run
+// reducer, and ablation benches for the design choices
+// bench.Ablation isolates. Key quantities are attached via b.ReportMetric; run
 // cmd/ddpbench for the full printed tables.
 package repro_test
 
@@ -270,7 +270,7 @@ func BenchmarkBackwardMLP(b *testing.B) {
 	}
 }
 
-// --- Ablation benchmarks for DESIGN.md's design choices ---
+// --- Ablation benchmarks for the design choices ---
 
 // BenchmarkAblationOverlap quantifies what turning off overlap costs
 // (the paper's central optimization), at 32 GPUs on the simulator.

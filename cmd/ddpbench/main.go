@@ -1,5 +1,5 @@
 // Command ddpbench regenerates the tables and figures of the paper's
-// evaluation (see DESIGN.md's per-experiment index):
+// evaluation, one experiment id per table or figure:
 //
 //	ddpbench -exp fig2        # AllReduce + backward cost curves
 //	ddpbench -exp fig6        # latency breakdown, overlap speedups

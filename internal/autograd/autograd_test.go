@@ -95,6 +95,51 @@ func TestMatMulGrad(t *testing.T) {
 	checkGrads(t, []*Variable{a, b}, func() *Variable { return Sum(MatMul(a, b)) }, 1e-2)
 }
 
+// TestMatMulBackwardSkipsConstantInput checks that a matmul's backward
+// returns nil for an input that does not require grad, and that skipping
+// that product leaves every parameter gradient bitwise unchanged.
+func TestMatMulBackwardSkipsConstantInput(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	xv := tensor.RandN(rng, 1, 4, 6)
+	w1v, w2v := tensor.RandN(rng, 1, 6, 5), tensor.RandN(rng, 1, 3, 5)
+	paramGrads := func(xRequiresGrad bool) []*tensor.Tensor {
+		x := NewLeaf(xv, xRequiresGrad)
+		w1, w2 := NewLeaf(w1v, true), NewLeaf(w2v, true)
+		Backward(Sum(MatMulTransB(Tanh(MatMul(x, w1)), w2)), nil)
+		if got := x.Grad != nil; got != xRequiresGrad {
+			t.Fatalf("x requires grad %v, but has gradient %v", xRequiresGrad, got)
+		}
+		return []*tensor.Tensor{w1.Grad, w2.Grad}
+	}
+	want, got := paramGrads(true), paramGrads(false)
+	for i := range want {
+		for j, w := range want[i].Data() {
+			if math.Float32bits(got[i].Data()[j]) != math.Float32bits(w) {
+				t.Fatalf("param %d grad[%d] = %v with a constant input, %v without", i, j, got[i].Data()[j], w)
+			}
+		}
+	}
+
+	h := NewLeaf(tensor.RandN(rng, 1, 4, 5), true)
+	for _, tc := range []struct {
+		name  string
+		out   *Variable
+		grads int // index of the input that requires grad
+	}{
+		{"MatMul(const, param)", MatMul(Constant(xv), NewLeaf(w1v, true)), 1},
+		{"MatMul(param, const)", MatMul(NewLeaf(xv, true), Constant(w1v)), 0},
+		{"MatMulTransB(const, param)", MatMulTransB(Constant(w2v), h), 1},
+		{"MatMulTransB(param, const)", MatMulTransB(h, Constant(w2v)), 0},
+	} {
+		inGrads := tc.out.node.backward(tensor.Ones(tc.out.Value.Shape()...))
+		for i, g := range inGrads {
+			if (g != nil) != (i == tc.grads) {
+				t.Errorf("%s: backward gradient %d is %v, want nil only for the constant", tc.name, i, g)
+			}
+		}
+	}
+}
+
 func TestAddRowMulRowGrad(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	m, row, scale := randVar(rng, 3, 4), randVar(rng, 4), randVar(rng, 4)

@@ -62,25 +62,57 @@ func MulRow(m, row *Variable) *Variable {
 	}, m, row)
 }
 
-// MatMul returns the matrix product a·b for 2-D variables.
+// MatMul returns the matrix product a·b for 2-D variables. Backward
+// skips the product for an input that does not require grad (such as a
+// constant data batch) and returns nil for it.
 func MatMul(a, b *Variable) *Variable {
 	av, bv := a.Value, b.Value
 	out := tensor.MatMul(av, bv)
+	ga, gb := gradOperands(a, b)
 	return newOp("matmul", out, func(g *tensor.Tensor) []*tensor.Tensor {
 		// dA = g·bᵀ, dB = aᵀ·g
-		return []*tensor.Tensor{tensor.MatMulTransB(g, bv), tensor.MatMulTransA(av, g)}
+		var da, db *tensor.Tensor
+		if ga != nil {
+			da = tensor.MatMulTransB(g, ga)
+		}
+		if gb != nil {
+			db = tensor.MatMulTransA(gb, g)
+		}
+		return []*tensor.Tensor{da, db}
 	}, a, b)
 }
 
 // MatMulTransB returns a·bᵀ for a [m,k] and b [n,k] — the form attention
-// scores take (q·kᵀ) without materializing the transpose.
+// scores take (q·kᵀ) without materializing the transpose. Like MatMul,
+// backward returns nil for an input that does not require grad.
 func MatMulTransB(a, b *Variable) *Variable {
 	av, bv := a.Value, b.Value
 	out := tensor.MatMulTransB(av, bv)
+	ga, gb := gradOperands(a, b)
 	return newOp("matmulTransB", out, func(g *tensor.Tensor) []*tensor.Tensor {
 		// C = A·Bᵀ: dA = g·B, dB = gᵀ·A.
-		return []*tensor.Tensor{tensor.MatMul(g, bv), tensor.MatMulTransA(g, av)}
+		var da, db *tensor.Tensor
+		if ga != nil {
+			da = tensor.MatMul(g, ga)
+		}
+		if gb != nil {
+			db = tensor.MatMulTransA(g, gb)
+		}
+		return []*tensor.Tensor{da, db}
 	}, a, b)
+}
+
+// gradOperands returns what a two-input product's backward keeps: a's
+// gradient reads b's value, and b's gradient reads a's, so ga is b's
+// value if a requires grad and gb is a's value if b does, else nil.
+func gradOperands(a, b *Variable) (ga, gb *tensor.Tensor) {
+	if a.requiresGrad {
+		ga = b.Value
+	}
+	if b.requiresGrad {
+		gb = a.Value
+	}
+	return ga, gb
 }
 
 // SliceCols returns columns [start, end) of a 2-D variable; the gradient

@@ -11,7 +11,7 @@ import (
 	"repro/internal/simnet"
 )
 
-// Ablation quantifies the design choices DESIGN.md calls out, beyond
+// Ablation quantifies the design choices of this implementation, beyond
 // what the paper's own figures isolate: overlap on/off, bucket packing
 // order (reverse vs forward registration order), gradient compression
 // levels, and round-robin stream counts — all on ResNet50 at 32 GPUs

@@ -2,7 +2,7 @@
 // GPUs (NVLink within a server, 100 Gb/s NICs across servers), NCCL and
 // Gloo collective cost curves, and GPU/CPU backward-pass compute curves.
 //
-// This is the substitution for the physical testbed (see DESIGN.md):
+// This is the substitution for the physical testbed:
 // the constants are calibrated so that the model reproduces the shapes
 // of the paper's Fig 2 — NCCL AllReduce total time falling monotonically
 // with per-op tensor size with no saturation through 20M parameters,

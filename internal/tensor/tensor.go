@@ -7,6 +7,22 @@
 // all other operations allocate their results. This mirrors the subset of
 // PyTorch tensor semantics the DDP paper depends on (flat bucket views
 // into gradient storage are modelled with Data and CopyFrom).
+//
+// The matrix products MatMul, MatMulTransA and MatMulTransB are
+// register-blocked for speed, but their results are defined bit for bit,
+// independent of the blocking, so the bitwise agreement contracts built
+// on them (DDP equals local training, ZeRO equals DDP) never depend on
+// how a kernel is tuned:
+//
+//   - each output element sums its products a·b in ascending order of the
+//     inner index p, into a float32 accumulator that starts at +0;
+//   - MatMul and MatMulTransA add no product for an a entry that is == 0
+//     (either sign), so an Inf or NaN in the b row such an entry would
+//     scale never reaches the output, and ReLU-sparse inputs cost less;
+//   - every product and every sum is rounded to float32 on its own: the
+//     kernels write float32(x*y), which the Go spec forbids fusing into
+//     a multiply-add;
+//   - each call allocates only its output tensor.
 package tensor
 
 import (
