@@ -48,11 +48,12 @@
 // Every rank persists its shard of a byte-identical state blob in
 // parallel (CRC-checked, versioned, atomic rename-on-commit), rank 0
 // commits a manifest only after a barrier confirms every shard is
-// durable, and an async writer keeps everything but a state memcpy off
-// the training hot path. On cold start the agent restores the newest
-// committed checkpoint — torn commits are rejected, corruption falls
-// back to the previous checkpoint, and re-sharding across differing
-// world sizes is the ordinary read path — then joins the rendezvous
+// durable, and an async writer keeps everything but the state capture
+// (one encode pass into one blob) off the training hot path. On cold
+// start the agent restores the newest committed checkpoint — torn
+// commits are rejected, corruption falls back to the previous
+// checkpoint, and re-sharding across differing world sizes is the
+// ordinary read path — then joins the rendezvous
 // holding the restored step, so the existing most-advanced-member
 // election distributes the state. See the internal/ckpt package doc
 // for the format and protocol.

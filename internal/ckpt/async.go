@@ -7,12 +7,12 @@ import (
 )
 
 // AsyncWriter moves checkpoint persistence off the training hot path:
-// Submit enqueues an already-captured Snapshot (the tensor copy is the
-// only work that must happen synchronously, inside Capture) and a
-// single background goroutine performs the shard write, commit barrier,
-// and manifest publication while training continues. The
-// BenchmarkSyncVsAsyncSave benchmark quantifies the difference — the
-// hot path pays only the memcpy, not the fsync.
+// Submit enqueues an already-captured Snapshot (Capture's one encode
+// pass of the state into one blob is the only work that must happen
+// synchronously) and a single background goroutine performs the shard
+// write, commit barrier, and manifest publication while training
+// continues. The BenchmarkSyncVsAsyncSave benchmark quantifies the
+// difference — the hot path pays only the capture, not the fsync.
 //
 // Saves execute strictly in submission order, so the directory's
 // (step, generation) history stays monotonic. The queue is small and

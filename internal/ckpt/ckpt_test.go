@@ -524,7 +524,7 @@ func benchStep(m nn.Module, opt *optim.SGD) {
 // overhead of periodic checkpointing (every benchSaveEvery steps, the
 // realistic cadence) when the persistence runs synchronously in-loop
 // (capture + fsync + commit on the hot path) vs asynchronously (only
-// the capture memcpy on the hot path). One op is one training step;
+// Capture's encode pass on the hot path). One op is one training step;
 // compare both against the nosave baseline.
 func BenchmarkSyncVsAsyncSave(b *testing.B) {
 	const benchSaveEvery = 25

@@ -19,7 +19,7 @@
 // locally. Checkpoint wall-clock cost therefore scales down with world
 // size instead of serializing through a single writer.
 //
-// # On-disk format (FormatVersion 1)
+// # On-disk format (FormatVersion 2)
 //
 // A checkpoint at step S under elastic generation G in a world of W is:
 //
@@ -31,6 +31,24 @@
 // blob offset (8), payload length (8) — then the payload, then a
 // CRC32-IEEE trailer over everything before it. Manifests are a framed JSON record (magic, length, JSON, CRC32)
 // listing every shard's file name, byte range, and exact file size.
+//
+// The state blob the shards split is a fixed little-endian layout:
+//
+//	magic "DDPSTAT2" (8)
+//	Meta: step, generation, world, seed (int64 each)
+//	optimizer element count n (uint64; all ones when the optimizer has
+//	  no optim.StateFlattener), then n float32s as raw bits
+//	the nn.SaveState stream (StateFormatVersion 2), to the end of the blob
+//
+// so Capture fills one exactly-sized blob in one pass, restore copies
+// every bit back (NaN payloads included), and decodeSnapshot reads Meta
+// from the fixed header without touching the tensors. Every count is
+// checked against the bytes that remain before it is used.
+//
+// FormatVersion 1 checkpoints still load: their shards and manifests
+// have the same framing, and their blob is a gob image, recognised by
+// the missing magic. Readers reject files of a version newer than
+// FormatVersion.
 //
 // Every file is published with the same durability protocol: write to
 // <dir>/.tmp-<name>, fsync, rename to the final name, fsync the
@@ -66,8 +84,9 @@
 //
 // # Asynchronous checkpointing
 //
-// AsyncWriter moves everything but the tensor copy off the training hot
-// path: Capture (a memcpy of the state) runs between steps, and a
+// AsyncWriter moves everything but the state capture off the training
+// hot path: Capture (one encode pass of the state into one blob, see
+// BenchmarkCapture) runs between steps, and a
 // background goroutine does the serialization barrier, fsync, and
 // commit. Saves are abandoned (ErrAbandoned) rather than stuck when a
 // membership change means a shard will never arrive; the elastic agent

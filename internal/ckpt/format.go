@@ -14,8 +14,10 @@ import (
 
 // FormatVersion is the version of the on-disk checkpoint format. It is
 // recorded in every shard header and manifest; readers reject files
-// written by a newer version instead of misinterpreting them.
-const FormatVersion = 1
+// written by a newer version instead of misinterpreting them. Version 2
+// changed the state blob from a gob image to a fixed little-endian
+// layout (see the package doc); version 1 checkpoints still load.
+const FormatVersion = 2
 
 // Magic numbers distinguishing the two file kinds. A reader that opens
 // the wrong kind (or a torn/garbage file) fails on the first 8 bytes.

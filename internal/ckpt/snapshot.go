@@ -2,8 +2,10 @@ package ckpt
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/gob"
 	"fmt"
+	"math"
 
 	"repro/internal/nn"
 	"repro/internal/optim"
@@ -31,10 +33,21 @@ type Meta struct {
 	Seed int64 `json:"seed"`
 }
 
-// image is the gob-encoded content of the state blob. Every rank holds
-// bit-identical state (DDP's invariant), encodes the same values with
-// the same encoder layout, and therefore produces byte-identical blobs
-// — which is what lets each rank persist only its slice of the blob.
+// blobMagic opens every FormatVersion 2 state blob. FormatVersion 1
+// blobs are gob images, which start with a gob message length (0x2f for
+// image) instead, so the magic tells the two apart.
+var blobMagic = [8]byte{'D', 'D', 'P', 'S', 'T', 'A', 'T', '2'}
+
+// blobHeaderLen is the fixed blob prefix: magic, the four Meta fields
+// as int64s, and the optimizer state's element count.
+const blobHeaderLen = 8 + 4*8 + 8
+
+// noOptState is the optimizer element count recorded when the
+// optimizer does not implement optim.StateFlattener.
+const noOptState = math.MaxUint64
+
+// image is the gob-encoded content of a FormatVersion 1 state blob,
+// kept only to read such blobs.
 type image struct {
 	Meta Meta
 	// Model is the nn.SaveState encoding of parameters and buffers,
@@ -56,36 +69,97 @@ type Snapshot struct {
 	blob []byte
 }
 
-// Capture serializes the full training state — model parameters and
-// buffers (via nn.SaveState), optimizer state (via
-// optim.StateFlattener, when implemented), and meta — into a Snapshot.
+// Capture serializes the full training state — meta, optimizer state
+// (via optim.StateFlattener, when implemented) and model parameters and
+// buffers (via nn.AppendState) — into a Snapshot: one encode pass into
+// one exactly-sized blob. Every rank holds bit-identical state (DDP's
+// invariant) and the encoding is a fixed little-endian layout, so every
+// rank produces a byte-identical blob — which is what lets each rank
+// persist only its slice of it.
 func Capture(model nn.Module, opt optim.Optimizer, meta Meta) (*Snapshot, error) {
-	var modelBuf bytes.Buffer
-	if err := nn.SaveState(&modelBuf, model); err != nil {
-		return nil, fmt.Errorf("ckpt: capturing model state: %w", err)
-	}
-	img := image{Meta: meta, Model: modelBuf.Bytes()}
+	var flat []float32
+	count := uint64(noOptState)
 	if sf, ok := opt.(optim.StateFlattener); ok && opt != nil {
-		img.Opt = sf.FlatState()
+		flat = sf.FlatState()
+		count = uint64(len(flat))
 	}
-	var blob bytes.Buffer
-	if err := gob.NewEncoder(&blob).Encode(&img); err != nil {
-		return nil, fmt.Errorf("ckpt: encoding snapshot: %w", err)
+	blob := make([]byte, 0, blobHeaderLen+4*len(flat)+nn.StateSize(model))
+	blob = append(blob, blobMagic[:]...)
+	le := binary.LittleEndian
+	for _, v := range []int64{meta.Step, int64(meta.Generation), int64(meta.World), meta.Seed} {
+		blob = le.AppendUint64(blob, uint64(v))
 	}
-	return &Snapshot{Meta: meta, blob: blob.Bytes()}, nil
+	blob = le.AppendUint64(blob, count)
+	blob = nn.AppendFloat32s(blob, flat)
+	blob = nn.AppendState(blob, model)
+	return &Snapshot{Meta: meta, blob: blob}, nil
 }
 
 // Bytes returns the snapshot's state blob. The caller must not mutate
 // it.
 func (s *Snapshot) Bytes() []byte { return s.blob }
 
-// decodeSnapshot parses a reassembled state blob.
+// blobParts is a FormatVersion 2 blob split into its sections.
+type blobParts struct {
+	meta Meta
+	// opt is the optimizer state's raw little-endian floats; nil
+	// when the blob records no optimizer state, and empty but non-nil
+	// (a subslice of the blob) when it records zero elements.
+	opt []byte
+	// model is the nn state stream.
+	model []byte
+}
+
+// splitBlob parses the fixed header of a FormatVersion 2 blob in O(1),
+// checking every field against the bytes it claims.
+func splitBlob(blob []byte) (blobParts, error) {
+	var p blobParts
+	if len(blob) < blobHeaderLen {
+		return p, fmt.Errorf("ckpt: state blob truncated: %d bytes", len(blob))
+	}
+	le := binary.LittleEndian
+	p.meta = Meta{
+		Step:       int64(le.Uint64(blob[8:])),
+		Generation: int(int64(le.Uint64(blob[16:]))),
+		World:      int(int64(le.Uint64(blob[24:]))),
+		Seed:       int64(le.Uint64(blob[32:])),
+	}
+	rest := blob[blobHeaderLen:]
+	if count := le.Uint64(blob[40:]); count != noOptState {
+		if count > uint64(len(rest))/4 {
+			return p, fmt.Errorf("ckpt: state blob claims %d optimizer elements, %d bytes remain", count, len(rest))
+		}
+		p.opt, rest = rest[:4*count], rest[4*count:]
+	}
+	p.model = rest
+	return p, nil
+}
+
+// decodeSnapshot parses a reassembled state blob: the fixed header of a
+// FormatVersion 2 blob, or the whole gob image of a FormatVersion 1
+// one.
 func decodeSnapshot(blob []byte) (*Snapshot, error) {
+	if !bytes.HasPrefix(blob, blobMagic[:]) {
+		img, err := decodeImage(blob)
+		if err != nil {
+			return nil, err
+		}
+		return &Snapshot{Meta: img.Meta, blob: blob}, nil
+	}
+	p, err := splitBlob(blob)
+	if err != nil {
+		return nil, err
+	}
+	return &Snapshot{Meta: p.meta, blob: blob}, nil
+}
+
+// decodeImage decodes a FormatVersion 1 blob.
+func decodeImage(blob []byte) (*image, error) {
 	var img image
 	if err := gob.NewDecoder(bytes.NewReader(blob)).Decode(&img); err != nil {
 		return nil, fmt.Errorf("ckpt: decoding snapshot: %w", err)
 	}
-	return &Snapshot{Meta: img.Meta, blob: blob}, nil
+	return &img, nil
 }
 
 // Apply restores the snapshot's state into model and opt (bitwise: a
@@ -94,19 +168,37 @@ func decodeSnapshot(blob []byte) (*Snapshot, error) {
 // architecture the checkpoint was taken from; mismatches are reported
 // by parameter name with both shapes.
 func (s *Snapshot) Apply(model nn.Module, opt optim.Optimizer) (Meta, error) {
-	var img image
-	if err := gob.NewDecoder(bytes.NewReader(s.blob)).Decode(&img); err != nil {
-		return Meta{}, fmt.Errorf("ckpt: decoding snapshot: %w", err)
+	var (
+		meta  Meta
+		state []byte
+		flat  []float32
+	)
+	if bytes.HasPrefix(s.blob, blobMagic[:]) {
+		p, err := splitBlob(s.blob)
+		if err != nil {
+			return Meta{}, err
+		}
+		meta, state = p.meta, p.model
+		if p.opt != nil {
+			flat = make([]float32, len(p.opt)/4)
+			nn.DecodeFloat32s(flat, p.opt)
+		}
+	} else {
+		img, err := decodeImage(s.blob)
+		if err != nil {
+			return Meta{}, err
+		}
+		meta, state, flat = img.Meta, img.Model, img.Opt
 	}
-	if err := nn.LoadState(bytes.NewReader(img.Model), model); err != nil {
+	if err := nn.LoadStateBytes(state, model); err != nil {
 		return Meta{}, fmt.Errorf("ckpt: restoring model state: %w", err)
 	}
-	if sf, ok := opt.(optim.StateFlattener); ok && opt != nil && img.Opt != nil {
-		if err := sf.SetFlatState(img.Opt); err != nil {
+	if sf, ok := opt.(optim.StateFlattener); ok && opt != nil && flat != nil {
+		if err := sf.SetFlatState(flat); err != nil {
 			return Meta{}, fmt.Errorf("ckpt: restoring optimizer state: %w", err)
 		}
 	}
-	return img.Meta, nil
+	return meta, nil
 }
 
 // ShardRange returns the byte range [offset, offset+length) of the

@@ -306,7 +306,8 @@ type CheckpointConfig struct {
 	// (0: never save — restore-only).
 	Every int64
 	// Async persists checkpoints on a background goroutine, leaving
-	// only the state capture (a memcpy) on the training hot path.
+	// only the state capture (one encode pass into one blob) on the
+	// training hot path.
 	Async bool
 	// Keep is how many committed checkpoints to retain (ckpt.Writer's
 	// default when 0).

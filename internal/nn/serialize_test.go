@@ -3,6 +3,8 @@ package nn
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/gob"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -121,11 +123,7 @@ func TestSaveStateWritesVersionHeader(t *testing.T) {
 
 func TestLoadStateAcceptsLegacyHeaderlessStream(t *testing.T) {
 	src := checkpointModel(1)
-	var buf bytes.Buffer
-	if err := SaveState(&buf, src); err != nil {
-		t.Fatal(err)
-	}
-	legacy := buf.Bytes()[12:] // strip the header: the pre-version encoding
+	legacy := gobState(t, src) // the pre-version encoding: gob, no header
 	dst := checkpointModel(2)
 	if err := LoadState(bytes.NewReader(legacy), dst); err != nil {
 		t.Fatalf("legacy stream rejected: %v", err)
@@ -136,6 +134,121 @@ func TestLoadStateAcceptsLegacyHeaderlessStream(t *testing.T) {
 		}
 	}
 }
+
+// gobState is the encoding SaveState wrote before StateFormatVersion 2:
+// m's stateDict gob-encoded, without a header.
+func gobState(t *testing.T, m Module) []byte {
+	t.Helper()
+	var sd stateDict
+	for _, p := range m.Parameters() {
+		sd.Params = append(sd.Params, stateEntry{Name: p.Name, Shape: p.Value.Shape(), Data: p.Value.Data()})
+	}
+	for _, b := range m.Buffers() {
+		sd.Buffers = append(sd.Buffers, stateEntry{Name: b.Name, Shape: b.Data.Shape(), Data: b.Data.Data()})
+	}
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(&sd); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+func TestLoadStateAcceptsVersion1Stream(t *testing.T) {
+	src := checkpointModel(1)
+	src.Forward(autograd.Constant(tensor.Ones(3, 4))) // non-trivial buffers
+	v1 := append([]byte("GONNSD01\x01\x00\x00\x00"), gobState(t, src)...)
+	dst := checkpointModel(2)
+	if err := LoadState(bytes.NewReader(v1), dst); err != nil {
+		t.Fatalf("version 1 stream rejected: %v", err)
+	}
+	for i, p := range dst.Parameters() {
+		if !p.Value.Equal(src.Parameters()[i].Value) {
+			t.Fatalf("parameter %s not restored from version 1 stream", p.Name)
+		}
+	}
+	for i, b := range dst.Buffers() {
+		if !b.Data.Equal(src.Buffers()[i].Data) {
+			t.Fatalf("buffer %s not restored from version 1 stream", b.Name)
+		}
+	}
+}
+
+// specialFloatBits are float32 bit patterns a lossy encoding would
+// change: a signaling NaN, NaNs with payloads, -0, ±Inf and subnormals.
+var specialFloatBits = []uint32{
+	0x7f800001, // signaling NaN
+	0x7fc12345, // quiet NaN with a payload
+	0xffa00001, // negative signaling NaN with a payload
+	0x80000000, // -0
+	0x7f800000, // +Inf
+	0xff800000, // -Inf
+	0x00000001, // smallest subnormal
+	0x807fffff, // largest negative subnormal
+}
+
+func TestSaveLoadPreservesEveryBit(t *testing.T) {
+	src := checkpointModel(1)
+	data := src.Parameters()[0].Value.Data()
+	for i, bits := range specialFloatBits {
+		data[i] = math.Float32frombits(bits)
+	}
+	var buf bytes.Buffer
+	if err := SaveState(&buf, src); err != nil {
+		t.Fatal(err)
+	}
+	dst := checkpointModel(2)
+	if err := LoadState(&buf, dst); err != nil {
+		t.Fatal(err)
+	}
+	for i, p := range dst.Parameters() {
+		want := src.Parameters()[i].Value.Data()
+		for j, v := range p.Value.Data() {
+			if math.Float32bits(v) != math.Float32bits(want[j]) {
+				t.Fatalf("parameter %s[%d]: restored bits %#08x, saved %#08x", p.Name, j, math.Float32bits(v), math.Float32bits(want[j]))
+			}
+		}
+	}
+}
+
+func TestStateStreamLayout(t *testing.T) {
+	// One parameter "w" of shape [1 2] holding {1, -2}, one buffer "b"
+	// of shape [1] holding {0.5}.
+	w := tensor.FromSlice([]float32{1, -2}, 1, 2)
+	b := tensor.FromSlice([]float32{0.5}, 1)
+	m := layoutModule{w: NewParameter("w", w), b: &Buffer{Name: "b", Data: b}}
+	want := []byte("GONNSD01")
+	want = binary.LittleEndian.AppendUint32(want, 2) // version
+	want = binary.LittleEndian.AppendUint32(want, 1) // parameters
+	want = append(want, 1, 0, 0, 0, 'w', 2, 0, 0, 0, 1, 0, 0, 0, 2, 0, 0, 0)
+	want = binary.LittleEndian.AppendUint64(want, 2)
+	want = binary.LittleEndian.AppendUint32(want, math.Float32bits(1))
+	want = binary.LittleEndian.AppendUint32(want, math.Float32bits(-2))
+	want = binary.LittleEndian.AppendUint32(want, 1) // buffers
+	want = append(want, 1, 0, 0, 0, 'b', 1, 0, 0, 0, 1, 0, 0, 0)
+	want = binary.LittleEndian.AppendUint64(want, 1)
+	want = binary.LittleEndian.AppendUint32(want, math.Float32bits(0.5))
+	var buf bytes.Buffer
+	if err := SaveState(&buf, m); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), want) {
+		t.Fatalf("stream\n% x\nwant\n% x", buf.Bytes(), want)
+	}
+	if n := StateSize(m); n != len(want) {
+		t.Fatalf("StateSize %d, stream is %d bytes", n, len(want))
+	}
+}
+
+// layoutModule is a fixed module with one parameter and one buffer.
+type layoutModule struct {
+	w *Parameter
+	b *Buffer
+}
+
+func (l layoutModule) Forward(x *autograd.Variable) *autograd.Variable { return x }
+func (l layoutModule) Parameters() []*Parameter                        { return []*Parameter{l.w} }
+func (l layoutModule) Buffers() []*Buffer                              { return []*Buffer{l.b} }
+func (l layoutModule) SetTraining(bool)                                {}
 
 func TestLoadStateRejectsNewerFormatVersion(t *testing.T) {
 	var buf bytes.Buffer
@@ -216,6 +329,35 @@ func TestResumeTrainingFromCheckpoint(t *testing.T) {
 	for i, p := range restored.Parameters() {
 		if !p.Value.Equal(m.Parameters()[i].Value) {
 			t.Fatalf("resumed training diverged at parameter %s", p.Name)
+		}
+	}
+}
+
+func TestFloat32CodecPortableLoopsMatchHost(t *testing.T) {
+	// The portable loops run only on big-endian hosts; check them
+	// against the codec this host uses, on every special bit pattern.
+	src := []float32{1, -2.5, 3e-39}
+	for _, bits := range specialFloatBits {
+		src = append(src, math.Float32frombits(bits))
+	}
+	want := AppendFloat32s([]byte{0xaa}, src)
+	got := make([]byte, 4*len(src))
+	putFloat32s(got, src)
+	if !bytes.Equal(got, want[1:]) {
+		t.Fatalf("putFloat32s\n% x\nAppendFloat32s\n% x", got, want[1:])
+	}
+	for i, v := range src {
+		if b := binary.LittleEndian.Uint32(got[4*i:]); b != math.Float32bits(v) {
+			t.Fatalf("element %d encoded as %#08x, want little-endian %#08x", i, b, math.Float32bits(v))
+		}
+	}
+	back, host := make([]float32, len(src)), make([]float32, len(src))
+	getFloat32s(back, got)
+	DecodeFloat32s(host, got)
+	for i := range src {
+		if math.Float32bits(back[i]) != math.Float32bits(src[i]) || math.Float32bits(host[i]) != math.Float32bits(src[i]) {
+			t.Fatalf("element %d decoded as %#08x (portable) / %#08x (host), want %#08x",
+				i, math.Float32bits(back[i]), math.Float32bits(host[i]), math.Float32bits(src[i]))
 		}
 	}
 }
